@@ -47,8 +47,9 @@ SCRIPTS = {
 CLIENTS_PER_TENANT = 3
 ROUNDS = 4
 
-#: e-mqo keeps the per-tenant plan cache in play — the warm-serving regime.
-POLICY = ExecutionPolicy(method="e-mqo")
+#: The default policy: o-sharing serves repeated e-unit steps from the
+#: per-tenant plan cache — the warm-serving regime.
+POLICY = ExecutionPolicy()
 
 #: CI floor for the headline metric.  Scripts repeat 4 distinct queries over
 #: 12 rounds per tenant (3 clients × 4), so a healthy shared plan cache sits

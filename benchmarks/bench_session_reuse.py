@@ -18,6 +18,13 @@ gated — this may run on a 1-core container):
 
 Emits ``BENCH_session_reuse.json`` at the repo root with operator counts and
 wall-clock per series.
+
+A second test measures the default path (o-sharing, one ``session.query``
+per call) on the benchmark scenario: each Table III query Q1-Q10 run twice
+in one session.  Gates: a warm repeat never executes more source operators
+than the cold run, answers are byte-identical, and the queries whose every
+e-unit step fits the cache's admission rule (Q1, Q2, Q5, Q6, Q10) execute
+no source operator at all when warm.  Emits ``BENCH_warm_repeat.json``.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ from repro.bench.reporting import format_table
 from repro.core import evaluate_many
 from repro.obs import write_bench_artifact
 from repro.workloads.queries import PAPER_QUERIES
+
+#: Table III queries whose every e-unit step is admitted to the plan cache;
+#: the others repeat an over-size step (a cross product) on every call.
+FULLY_CACHED = ("Q1", "Q2", "Q5", "Q6", "Q10")
 
 #: Each Excel query of Table III, repeated as serving traffic would repeat it.
 WORKLOAD_QUERY_IDS = ["Q1", "Q2", "Q3", "Q4", "Q5"] * 4
@@ -169,3 +180,60 @@ def test_session_reuse(benchmark, small_excel_bench, report_writer):
     # ...and the warm session executes strictly fewer source operators than
     # the same workloads served cold (the cold passes each pay full price).
     assert warm_ops < cold_ops
+
+
+def test_default_path_warm_repeat(bench_scenarios, report_writer):
+    rows, series = [], {}
+    for query_id in sorted(PAPER_QUERIES, key=lambda name: int(name[1:])):
+        spec = PAPER_QUERIES[query_id]
+        scenario = bench_scenarios[spec.target]
+        query = spec.build(scenario.target_schema)
+        with Session(scenario.database, scenario.mappings, links=scenario.links) as session:
+            cold = session.query(query)
+            warm = session.query(query)
+        assert dict(warm.answers.items()) == dict(cold.answers.items()), query_id
+        assert warm.answers.empty_probability == cold.answers.empty_probability
+        series[query_id] = {
+            "target": spec.target,
+            "cold_source_operators": cold.source_operators,
+            "warm_source_operators": warm.source_operators,
+            "warm_plan_cache_hits": warm.stats.plan_cache_hits,
+            "warm_operators_saved": warm.stats.operators_saved,
+            "cold_seconds": cold.elapsed_seconds,
+            "warm_seconds": warm.elapsed_seconds,
+        }
+        rows.append(
+            [
+                query_id,
+                spec.target,
+                cold.source_operators,
+                warm.source_operators,
+                warm.stats.plan_cache_hits,
+                round(cold.elapsed_seconds, 4),
+                round(warm.elapsed_seconds, 4),
+            ]
+        )
+
+    gates = {
+        "warm_never_costs_more": all(
+            point["warm_source_operators"] <= point["cold_source_operators"]
+            for point in series.values()
+        ),
+        "fully_cached_warm_repeats_execute_nothing": all(
+            series[query_id]["warm_source_operators"] == 0 for query_id in FULLY_CACHED
+        ),
+    }
+    report_writer(
+        "warm_repeat",
+        "== Default-path warm repeat (o-sharing, one session per query) ==\n\n"
+        + format_table(
+            ["query", "target", "cold ops", "warm ops", "warm hits", "cold [s]", "warm [s]"],
+            rows,
+        )
+        + "\n(wall-clock reported, not gated)\n",
+    )
+    write_bench_artifact(
+        "warm_repeat",
+        {"method": "o-sharing", "fully_cached": FULLY_CACHED, "series": series, "gates": gates},
+    )
+    assert all(gates.values()), gates

@@ -27,29 +27,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.evaluators.base import (
-    PHASE_AGGREGATION,
-    PHASE_ANYTIME,
-    PHASE_EVALUATION,
-    PHASE_REWRITING,
-    Evaluator,
-)
-from repro.core.eunit import CandidateOperator, EUnit, UTrace, apply_execution, candidate_operators
+from repro.core.evaluators.base import PHASE_AGGREGATION, PHASE_ANYTIME, PHASE_REWRITING
+from repro.core.evaluators.osharing import UTraceEvaluator
+from repro.core.eunit import EUnit, UTrace
 from repro.core.links import SchemaLinks
-from repro.core.operator_selection import SelectionStrategy, make_strategy, partition_for
+from repro.core.operator_selection import SelectionStrategy
 from repro.core.partition_tree import partition, represent
-from repro.core.reformulation import (
-    UnmatchedAttributeError,
-    build_scan_plan,
-    extract_answers,
-    reformulate_operator,
-)
+from repro.core.reformulation import extract_answers
 from repro.core.target_query import TargetQuery
-from repro.matching.mappings import Mapping, MappingSet
-from repro.relational.algebra import Materialized, Scan
+from repro.matching.mappings import MappingSet
 from repro.relational.database import Database
 from repro.relational.executor import DEFAULT_ENGINE, Executor
-from repro.relational.relation import Relation
 from repro.relational.stats import ExecutionStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # import would close the cycle during whichever package is imported first.
 
 
-class AnytimeEvaluator(Evaluator):
+class AnytimeEvaluator(UTraceEvaluator):
     """Priority-frontier o-sharing with budgets and interval answers."""
 
     name = "anytime"
@@ -85,9 +73,9 @@ class AnytimeEvaluator(Evaluator):
         from repro.anytime.budget import Budget
 
         super().__init__(
-            links, engine=engine, optimize=optimize, parallel=parallel, shared=shared
+            links, strategy, seed,
+            engine=engine, optimize=optimize, parallel=parallel, shared=shared,
         )
-        self.strategy = make_strategy(strategy, seed) if isinstance(strategy, str) else strategy
         self.budget = Budget() if budget is None else Budget.from_spec(budget)
 
     # ------------------------------------------------------------------ #
@@ -216,27 +204,16 @@ class AnytimeEvaluator(Evaluator):
         trace: UTrace,
         meter: BudgetMeter,
     ) -> None:
-        """Reformulate + execute one partition group (o-sharing's expand body)."""
-        representative = task.group[0]
-        with stats.phase(PHASE_REWRITING):
-            try:
-                source_plan = self._reformulate(query, representative, task.choice)
-            except UnmatchedAttributeError:
-                source_plan = None
-            stats.count_reformulation()
-        if source_plan is None:
+        """Run one partition group (o-sharing's expand body)."""
+        child = self._step(task.unit, query, task.choice, task.group, executor, stats)
+        if child is None:
             with stats.phase(PHASE_AGGREGATION):
                 state.contribute_empty(
                     task.empty_key,
                     sum(mapping.probability for mapping in task.group),
                 )
             return
-        with stats.phase(PHASE_EVALUATION):
-            result = executor.execute(source_plan)
         meter.charge(mappings=len(task.group), eunits=1)
-        child = task.unit.spawn(
-            self._next_plan(task.unit, task.choice, result), task.group
-        )
         trace.created(child)
         self._schedule_unit(child, task.child_key, query, executor, state, stats, trace)
 
@@ -321,32 +298,3 @@ class AnytimeEvaluator(Evaluator):
             **snapshot,
         }
         return answers, intervals, unexplored, exhausted, converged, details
-
-    # ------------------------------------------------------------------ #
-    # o-sharing's per-unit machinery, shared verbatim
-    # ------------------------------------------------------------------ #
-    def _choose(self, unit: EUnit, query: TargetQuery):
-        candidates = candidate_operators(unit.plan, query)
-        if candidates:
-            return self.strategy.choose(unit, candidates, query)
-        if isinstance(unit.plan, Scan):
-            return partition_for(query, CandidateOperator(operator=unit.plan), unit.mappings)
-        raise RuntimeError(f"no executable operator found in plan {unit.plan.canonical()!r}")
-
-    def _reformulate(self, query: TargetQuery, mapping: Mapping, choice):
-        operator = choice.candidate.operator
-        if isinstance(operator, Scan):
-            return build_scan_plan(query, mapping, operator.label, self.links)
-        return reformulate_operator(
-            query,
-            mapping,
-            operator,
-            self.links,
-            pushdown_leaf=choice.candidate.pushdown_leaf,
-        )
-
-    def _next_plan(self, unit: EUnit, choice, result: Relation):
-        materialized = Materialized(result, label=f"u{unit.unit_id}")
-        if isinstance(choice.candidate.operator, Scan):
-            return unit.plan.replace(choice.candidate.operator, materialized)
-        return apply_execution(unit.plan, choice.candidate, materialized)

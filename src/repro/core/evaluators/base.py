@@ -40,7 +40,9 @@ class SharedState:
     * ``plan_cache`` — one bounded
       :class:`~repro.relational.plancache.PlanCache` (already attached to the
       session's database) that e-MQO and the batch evaluator look shared
-      subexpressions up in, so materializations survive *between* calls;
+      subexpressions up in, and o-sharing, top-k and anytime their
+      lineage-keyed e-unit steps, so materializations survive *between*
+      calls;
     * ``optimizer`` — one :class:`~repro.relational.optimizer.Optimizer`
       whose canonical-fingerprint memo persists across calls (the session's
       database supplies the statistics catalog);

@@ -11,6 +11,15 @@ The operator to execute next is chosen by a pluggable selection strategy
 (Random / SNF / SEF, Section VI-A); the chosen operator is reformulated with
 the rules of Section VI-B and executed, and its result replaces it in the
 plan of the child e-units.
+
+What happens to one e-unit — choose, reformulate, execute, splice — is the
+same in top-k (Algorithm 4) and anytime, which differ from o-sharing only in
+the order they visit e-units and in what they do with the answers;
+:class:`UTraceEvaluator` holds it for all three.  Execution goes through
+:meth:`~repro.relational.executor.Executor.execute_step`, which keys every
+step result on its lineage: with a session's plan cache, a step whose source
+plan already ran over the same data — in this call or an earlier one — is
+served from the cache instead of being optimized and executed again.
 """
 
 from __future__ import annotations
@@ -35,14 +44,91 @@ from repro.core.reformulation import (
 )
 from repro.core.target_query import TargetQuery
 from repro.matching.mappings import Mapping, MappingSet
-from repro.relational.algebra import Materialized, Scan
+from repro.relational.algebra import Scan
 from repro.relational.database import Database
 from repro.relational.executor import DEFAULT_ENGINE, Executor
-from repro.relational.relation import Relation
 from repro.relational.stats import ExecutionStats
 
 
-class OSharingEvaluator(Evaluator):
+class UTraceEvaluator(Evaluator):
+    """Base of the evaluators that explore the u-trace one e-unit at a time."""
+
+    def __init__(
+        self,
+        links: SchemaLinks | None = None,
+        strategy: str | SelectionStrategy = "sef",
+        seed: int = 0,
+        engine: str = DEFAULT_ENGINE,
+        optimize: bool = True,
+        parallel=None,
+        shared=None,
+    ):
+        super().__init__(
+            links, engine=engine, optimize=optimize, parallel=parallel, shared=shared
+        )
+        self.strategy = make_strategy(strategy, seed) if isinstance(strategy, str) else strategy
+
+    def _choose(self, unit: EUnit, query: TargetQuery):
+        """The next operator of ``unit`` and its mapping partitions."""
+        candidates = candidate_operators(unit.plan, query)
+        if candidates:
+            return self.strategy.choose(unit, candidates, query)
+        # Degenerate plan: a bare target scan with no operators left.  Treat
+        # the scan itself as the "operator" so that evaluation can finish.
+        if isinstance(unit.plan, Scan):
+            return partition_for(query, CandidateOperator(operator=unit.plan), unit.mappings)
+        raise RuntimeError(f"no executable operator found in plan {unit.plan.canonical()!r}")
+
+    def _reformulate(self, query: TargetQuery, mapping: Mapping, choice):
+        operator = choice.candidate.operator
+        if isinstance(operator, Scan):
+            return build_scan_plan(query, mapping, operator.label, self.links)
+        return reformulate_operator(
+            query,
+            mapping,
+            operator,
+            self.links,
+            pushdown_leaf=choice.candidate.pushdown_leaf,
+        )
+
+    def _step(
+        self,
+        unit: EUnit,
+        query: TargetQuery,
+        choice,
+        group: list[Mapping],
+        executor: Executor,
+        stats: ExecutionStats,
+    ) -> EUnit | None:
+        """Run ``choice`` for one mapping partition; the child e-unit.
+
+        ``None`` when the partition's representative leaves an attribute of
+        the operator unmatched: the answer is empty for every mapping of the
+        group, and nothing is executed.
+        """
+        with stats.phase(PHASE_REWRITING):
+            try:
+                source_plan = self._reformulate(query, group[0], choice)
+            except UnmatchedAttributeError:
+                source_plan = None
+            stats.count_reformulation()
+        if source_plan is None:
+            return None
+        with stats.phase(PHASE_EVALUATION):
+            result = executor.execute_step(
+                source_plan,
+                self._shared_cache(executor.database),
+                label=f"u{unit.unit_id}",
+            )
+        operator = choice.candidate.operator
+        if isinstance(operator, Scan):
+            plan = unit.plan.replace(operator, result)
+        else:
+            plan = apply_execution(unit.plan, choice.candidate, result)
+        return unit.spawn(plan, group)
+
+
+class OSharingEvaluator(UTraceEvaluator):
     """Operator-level sharing over the u-trace (the paper's ``o-sharing``)."""
 
     name = "o-sharing"
@@ -59,9 +145,9 @@ class OSharingEvaluator(Evaluator):
         shared=None,
     ):
         super().__init__(
-            links, engine=engine, optimize=optimize, parallel=parallel, shared=shared
+            links, strategy, seed,
+            engine=engine, optimize=optimize, parallel=parallel, shared=shared,
         )
-        self.strategy = make_strategy(strategy, seed) if isinstance(strategy, str) else strategy
         #: the empty-intermediate shortcut (Case 2 of ``run_qt``); disabling it
         #: is only useful for the ablation benchmark.
         self.prune_empty = prune_empty
@@ -149,56 +235,16 @@ class OSharingEvaluator(Evaluator):
         unit.next_op = choice.candidate
 
         for group in choice.partitions:
-            representative = group[0]
-            with stats.phase(PHASE_REWRITING):
-                try:
-                    source_plan = self._reformulate(query, representative, choice)
-                except UnmatchedAttributeError:
-                    source_plan = None
-                stats.count_reformulation()
-            if source_plan is None:
+            child = self._step(unit, query, choice, group, executor, stats)
+            if child is None:
                 with stats.phase(PHASE_AGGREGATION):
                     answers.add_empty(sum(mapping.probability for mapping in group))
                 continue
-            with stats.phase(PHASE_EVALUATION):
-                result = executor.execute(source_plan)
-            child_plan = self._next_plan(unit, query, choice, result)
-            child = unit.spawn(child_plan, group)
             trace.created(child)
             children.append(child)
         return children
 
     # ------------------------------------------------------------------ #
-    def _choose(self, unit: EUnit, query: TargetQuery):
-        candidates = candidate_operators(unit.plan, query)
-        if candidates:
-            return self.strategy.choose(unit, candidates, query)
-        # Degenerate plan: a bare target scan with no operators left.  Treat
-        # the scan itself as the "operator" so that evaluation can finish.
-        if isinstance(unit.plan, Scan):
-            return partition_for(query, CandidateOperator(operator=unit.plan), unit.mappings)
-        raise RuntimeError(
-            f"no executable operator found in plan {unit.plan.canonical()!r}"
-        )
-
-    def _reformulate(self, query: TargetQuery, mapping: Mapping, choice):
-        operator = choice.candidate.operator
-        if isinstance(operator, Scan):
-            return build_scan_plan(query, mapping, operator.label, self.links)
-        return reformulate_operator(
-            query,
-            mapping,
-            operator,
-            self.links,
-            pushdown_leaf=choice.candidate.pushdown_leaf,
-        )
-
-    def _next_plan(self, unit: EUnit, query: TargetQuery, choice, result: Relation):
-        materialized = Materialized(result, label=f"u{unit.unit_id}")
-        if isinstance(choice.candidate.operator, Scan):
-            return unit.plan.replace(choice.candidate.operator, materialized)
-        return apply_execution(unit.plan, choice.candidate, materialized)
-
     def _emit(
         self,
         unit: EUnit,

@@ -24,29 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.answer import ProbabilisticAnswer, _sort_key
-from repro.core.evaluators.base import (
-    PHASE_AGGREGATION,
-    PHASE_EVALUATION,
-    PHASE_REWRITING,
-    EvaluationResult,
-    Evaluator,
-)
-from repro.core.eunit import CandidateOperator, EUnit, UTrace, apply_execution, candidate_operators
+from repro.core.evaluators.base import PHASE_AGGREGATION, PHASE_REWRITING, EvaluationResult
+from repro.core.evaluators.osharing import UTraceEvaluator
+from repro.core.eunit import EUnit, UTrace
 from repro.core.links import SchemaLinks
-from repro.core.operator_selection import SelectionStrategy, make_strategy, partition_for
+from repro.core.operator_selection import SelectionStrategy
 from repro.core.partition_tree import partition, represent
-from repro.core.reformulation import (
-    UnmatchedAttributeError,
-    build_scan_plan,
-    extract_answers,
-    reformulate_operator,
-)
+from repro.core.reformulation import extract_answers
 from repro.core.target_query import TargetQuery
-from repro.matching.mappings import Mapping, MappingSet
-from repro.relational.algebra import Materialized, Scan
+from repro.matching.mappings import MappingSet
 from repro.relational.database import Database
 from repro.relational.executor import DEFAULT_ENGINE, Executor
-from repro.relational.relation import Relation
 from repro.relational.stats import ExecutionStats
 
 
@@ -59,7 +47,7 @@ class BoundedTuple:
     ub: float
 
 
-class TopKEvaluator(Evaluator):
+class TopKEvaluator(UTraceEvaluator):
     """Bound-pruned top-k evaluation over the u-trace (Algorithm 4)."""
 
     name = "top-k"
@@ -76,12 +64,12 @@ class TopKEvaluator(Evaluator):
         shared=None,
     ):
         super().__init__(
-            links, engine=engine, optimize=optimize, parallel=parallel, shared=shared
+            links, strategy, seed,
+            engine=engine, optimize=optimize, parallel=parallel, shared=shared,
         )
         if k <= 0:
             raise ValueError("k must be positive")
         self.k = k
-        self.strategy = make_strategy(strategy, seed) if isinstance(strategy, str) else strategy
 
     # ------------------------------------------------------------------ #
     def evaluate(
@@ -162,53 +150,17 @@ class TopKEvaluator(Evaluator):
             key=lambda group: -sum(mapping.probability for mapping in group),
         )
         for group in groups:
-            representative = group[0]
-            with stats.phase(PHASE_REWRITING):
-                try:
-                    source_plan = self._reformulate(query, representative, choice)
-                except UnmatchedAttributeError:
-                    source_plan = None
-                stats.count_reformulation()
-            if source_plan is None:
+            child = self._step(unit, query, choice, group, executor, stats)
+            if child is None:
                 probability = sum(mapping.probability for mapping in group)
                 with stats.phase(PHASE_AGGREGATION):
                     if state.decide(probability, []):
                         return True
                 continue
-            with stats.phase(PHASE_EVALUATION):
-                result = executor.execute(source_plan)
-            child = unit.spawn(self._next_plan(unit, choice, result), group)
             trace.created(child)
             if self._run_qt_topk(child, query, executor, stats, trace, state):
                 return True
         return False
-
-    # ------------------------------------------------------------------ #
-    def _choose(self, unit: EUnit, query: TargetQuery):
-        candidates = candidate_operators(unit.plan, query)
-        if candidates:
-            return self.strategy.choose(unit, candidates, query)
-        if isinstance(unit.plan, Scan):
-            return partition_for(query, CandidateOperator(operator=unit.plan), unit.mappings)
-        raise RuntimeError(f"no executable operator found in plan {unit.plan.canonical()!r}")
-
-    def _reformulate(self, query: TargetQuery, mapping: Mapping, choice):
-        operator = choice.candidate.operator
-        if isinstance(operator, Scan):
-            return build_scan_plan(query, mapping, operator.label, self.links)
-        return reformulate_operator(
-            query,
-            mapping,
-            operator,
-            self.links,
-            pushdown_leaf=choice.candidate.pushdown_leaf,
-        )
-
-    def _next_plan(self, unit: EUnit, choice, result: Relation):
-        materialized = Materialized(result, label=f"u{unit.unit_id}")
-        if isinstance(choice.candidate.operator, Scan):
-            return unit.plan.replace(choice.candidate.operator, materialized)
-        return apply_execution(unit.plan, choice.candidate, materialized)
 
 
 class _TopKState:

@@ -18,6 +18,7 @@ Every node knows how to
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -143,14 +144,37 @@ class Materialized(PlanNode):
 
     o-sharing replaces executed operators with these nodes; e-MQO uses them to
     share the result of a common sub-plan between several source queries.
-    Identity (not content) distinguishes two materialised nodes, but the
-    canonical form embeds a stable id so that fingerprints remain useful.
+
+    A leaf built from an executed source plan carries a *lineage*: that
+    plan's canonical form plus ``versions``, the data-version token of every
+    base relation the result depends on (scanned directly or inherited from
+    lineage leaves of the plan).  Its canonical form is then
+    ``Materialized[<digest of lineage>|orders@7,...]`` — the same in every
+    call that computes the same result over the same data, so the plan cache
+    and the optimizer memo can recognise it again, and version-exact, so
+    neither can serve a fingerprint computed before a write.  A leaf without
+    a lineage is distinguished by identity: its canonical form embeds a
+    process-unique id.
     """
 
-    def __init__(self, relation: Relation, label: str = ""):
+    def __init__(
+        self,
+        relation: Relation,
+        label: str = "",
+        lineage: str | None = None,
+        versions: dict[str, int] | None = None,
+    ):
         self.relation = relation
         self.label = label or relation.name or "intermediate"
-        self.node_id = next(_MATERIALIZED_IDS)
+        self.lineage = lineage
+        #: base-relation version pins of the lineage (empty without one)
+        self.versions = dict(versions or {}) if lineage is not None else {}
+        if lineage is None:
+            self._canonical = f"Materialized(#{next(_MATERIALIZED_IDS)}:{self.label})"
+        else:
+            digest = hashlib.blake2b(lineage.encode(), digest_size=16).hexdigest()
+            pins = ",".join(f"{name}@{v}" for name, v in sorted(self.versions.items()))
+            self._canonical = f"Materialized[{digest}|{pins}]"
 
     def children(self) -> tuple[PlanNode, ...]:
         return ()
@@ -161,7 +185,7 @@ class Materialized(PlanNode):
         return self
 
     def canonical(self) -> str:
-        return f"Materialized(#{self.node_id}:{self.label})"
+        return self._canonical
 
     @property
     def is_empty(self) -> bool:
@@ -360,6 +384,19 @@ class Join(PlanNode):
 def plan_scans(plan: PlanNode) -> list[Scan]:
     """All :class:`Scan` leaves in the plan."""
     return [node for node in plan.walk() if isinstance(node, Scan)]
+
+
+def lineage_key(plan: PlanNode) -> str | None:
+    """The lineage a result of ``plan`` would carry, or ``None``.
+
+    ``None`` when some :class:`Materialized` leaf of the plan has no lineage
+    of its own: its canonical form is identity-based, so no later call could
+    ever produce the same key.
+    """
+    for node in plan.walk():
+        if isinstance(node, Materialized) and node.lineage is None:
+            return None
+    return plan.canonical()
 
 
 def plan_operator_count(plan: PlanNode) -> int:

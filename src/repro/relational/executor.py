@@ -62,11 +62,17 @@ from repro.relational.algebra import (
     Scan,
     Select,
     Union,
+    lineage_key,
 )
 from repro.relational.columnar import ColumnBatch, expression_values, predicate_mask
 from repro.relational.database import Database
 from repro.relational.expressions import ColumnRef, Literal
-from repro.relational.plancache import MaterializationPolicy, MaterializeAll, PlanCache
+from repro.relational.plancache import (
+    MaterializationPolicy,
+    MaterializeAll,
+    PlanCache,
+    dependency_versions,
+)
 from repro.relational.predicates import Comparison, Predicate, conjunction
 from repro.relational.relation import Relation, combine_labels, unique_labels
 from repro.relational.stats import ExecutionStats
@@ -222,6 +228,54 @@ class Executor:
         if self.engine in _BATCH_ENGINES:
             return self._evaluate_columnar(plan).to_relation()
         return self._evaluate(plan)
+
+    def execute_step(
+        self, plan: PlanNode, cache: PlanCache | None = None, label: str = ""
+    ) -> Materialized:
+        """Execute one e-unit step's source plan as a lineage-keyed leaf.
+
+        The result carries ``plan``'s lineage (see
+        :class:`~repro.relational.algebra.Materialized`), so a later step
+        over it has a stable key too.  With a ``cache`` the step is first
+        looked up under that key — before optimizing or executing anything —
+        and stored after a miss, unless it has more rows than the largest
+        base relation it depends on: such results (cross products, mostly)
+        would crowd the cache and are cheaper to recompute than to keep,
+        while the smaller steps built on them still get cached.  A plan over
+        an intermediate without a lineage runs uncached.
+        """
+        key = lineage_key(plan)
+        if key is None:
+            return Materialized(self.execute(plan), label)
+        if cache is not None:
+            entry = cache.get(key, self.database)
+            if entry is not None:
+                self.stats.count_cache_hit(entry.operator_count)
+                self._trace_cache("hit", operators_saved=entry.operator_count)
+                return Materialized(
+                    entry.relation, label, key, entry.dependency_versions
+                )
+            self.stats.count_cache_miss()
+            self._trace_cache("miss")
+        before = self.stats.source_operators
+        result = self.execute(plan)
+        versions = dependency_versions(plan, self.database, self._version_pins)
+        if cache is not None and len(result) <= self._largest_base(versions):
+            cache.put(
+                key, plan, result, self.database, versions=versions,
+                operator_count=self.stats.source_operators - before,
+            )
+        return Materialized(result, label, key, versions)
+
+    def _largest_base(self, names) -> int:
+        """Rows of the largest of the named base relations (0 if none exist)."""
+        largest = 0
+        for name in names:
+            try:
+                largest = max(largest, len(self.database.relation(name)))
+            except KeyError:
+                pass
+        return largest
 
     def execute_query(self, plan: PlanNode) -> Relation:
         """Evaluate a complete source query (counts one source query in stats)."""

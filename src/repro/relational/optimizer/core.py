@@ -116,9 +116,8 @@ class Optimizer:
         """Optimize ``plan`` and return the full :class:`OptimizationReport`."""
         if self._is_trivial(plan):
             # o-sharing executes thousands of single-operator plans over
-            # Materialized leaves, whose unique node ids defeat the memo; no
-            # rewrite rule can improve such a plan, so skip the pipeline
-            # (and the memo) entirely.
+            # Materialized leaves; no rewrite rule can improve such a plan,
+            # so skip the pipeline (and the memo) entirely.
             return OptimizationReport(plan=plan)
         key = plan.canonical()
         with self._lock:

@@ -22,7 +22,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.relational.algebra import Materialized, PlanNode, Scan
+from repro.relational.algebra import Materialized, PlanNode, Project, Scan, Select
 from repro.relational.relation import Relation
 
 
@@ -74,7 +74,8 @@ class CachedPlan:
     dependencies: frozenset[str] = field(default_factory=frozenset)
     #: data-version token of each dependency at store time (staleness check)
     dependency_versions: dict[str, int] = field(default_factory=dict)
-    #: the plan itself, kept so append deltas can be replayed through it
+    #: the plan itself, kept only when append deltas can be replayed through
+    #: it (see :meth:`PlanCache.put`)
     node: PlanNode | None = None
 
 
@@ -89,10 +90,46 @@ def plan_cost(node: PlanNode) -> int:
 
 
 def plan_dependencies(node: PlanNode) -> frozenset[str]:
-    """Names of the base relations ``node`` reads (its invalidation keys)."""
-    return frozenset(
-        child.relation for child in node.walk() if isinstance(child, Scan)
-    )
+    """Names of the base relations ``node`` reads (its invalidation keys).
+
+    A lineage-keyed :class:`Materialized` leaf contributes the relations its
+    own result was computed from, so a write to any of them reaches every
+    entry built on that leaf.
+    """
+    names: set[str] = set()
+    for child in node.walk():
+        if isinstance(child, Scan):
+            names.add(child.relation)
+        elif isinstance(child, Materialized):
+            names.update(child.versions)
+    return frozenset(names)
+
+
+def dependency_versions(
+    node: PlanNode, database, pinned: dict[str, int] | None = None
+) -> dict[str, int]:
+    """The data-version token of every relation ``node`` depends on.
+
+    Tokens come from ``pinned`` (captured by the executor *before* it read
+    the data) and from the plan's lineage leaves; on a conflict the older
+    token wins, which can only cause a spurious recompute, never a stale
+    serve.  Dependencies neither source covers fall back to the live token.
+    """
+    versions = dict(pinned or {})
+    for child in node.walk():
+        if isinstance(child, Materialized):
+            for name, version in child.versions.items():
+                versions[name] = min(version, versions.get(name, version))
+    recorded: dict[str, int] = {}
+    for name in plan_dependencies(node):
+        if name in versions:
+            recorded[name] = versions[name]
+            continue
+        try:
+            recorded[name] = database.relation(name).version
+        except KeyError:
+            pass
+    return recorded
 
 
 def append_shape(node: PlanNode) -> str | None:
@@ -111,8 +148,6 @@ def append_shape(node: PlanNode) -> str | None:
     everything binary or aggregating — ``Union`` included, because rows
     appended to its left input belong *mid*-output, not at the end.
     """
-    from repro.relational.algebra import Project, Select
-
     shape = "plain"
     reprojected = False
     current = node
@@ -199,36 +234,36 @@ class PlanCache:
         relation: Relation,
         database=None,
         versions: dict[str, int] | None = None,
+        operator_count: int | None = None,
     ) -> CachedPlan:
         """Store the result of ``node`` under ``key`` (evicting LRU if full).
 
-        With a ``database``, the version token of every scanned base relation
-        is recorded so :meth:`get` can detect staleness.  ``versions`` lets
-        the executor supply tokens captured *before* it read the data: if a
-        concurrent write swapped the data mid-execution, the entry is
-        recorded under the pre-write token and the next version-checked
-        lookup discards it — recording the post-write token would instead
-        serve pre-write rows as current forever.  Missing names fall back to
-        the live token.
+        With a ``database``, the version token of every base relation the
+        plan depends on is recorded so :meth:`get` can detect staleness.
+        ``versions`` lets the executor supply tokens captured *before* it
+        read the data: if a concurrent write swapped the data mid-execution,
+        the entry is recorded under the pre-write token and the next
+        version-checked lookup discards it — recording the post-write token
+        would instead serve pre-write rows as current forever.  Missing
+        names fall back to the live token (see :func:`dependency_versions`).
+
+        ``operator_count`` is the saving a hit reports (default: the plan's
+        unoptimized :func:`plan_cost`).  The plan itself is kept only when
+        an append delta could patch the entry (:func:`append_shape`): a plan
+        with :class:`Materialized` leaves can never be patched, and keeping
+        it would keep its input intermediates alive for as long as the entry.
         """
-        dependencies = plan_dependencies(node)
-        recorded: dict[str, int] = {}
-        if database is not None:
-            for name in dependencies:
-                if versions is not None and name in versions:
-                    recorded[name] = versions[name]
-                    continue
-                try:
-                    recorded[name] = database.relation(name).version
-                except KeyError:
-                    pass
         entry = CachedPlan(
             key=key,
             relation=relation,
-            operator_count=plan_cost(node),
-            dependencies=dependencies,
-            dependency_versions=recorded,
-            node=node,
+            operator_count=plan_cost(node) if operator_count is None else operator_count,
+            dependencies=plan_dependencies(node),
+            dependency_versions=(
+                dependency_versions(node, database, versions)
+                if database is not None
+                else {}
+            ),
+            node=node if append_shape(node) is not None else None,
         )
         with self._lock:
             if key in self._entries:

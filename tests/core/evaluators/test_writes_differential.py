@@ -100,6 +100,54 @@ def test_warm_session_survives_interleaved_writes(method, engine):
                 ), label
 
 
+def _utrace_query(session, method, query):
+    if method == "top-k":
+        return session.top_k(query, k=2)
+    return session.query(query, method=method)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("method", ["o-sharing", "top-k", "anytime"])
+def test_warm_step_cache_matches_cold_session_across_writes(method, engine):
+    """Lineage-keyed step results: warm repeats == a cold session, byte for byte.
+
+    The u-trace evaluators serve repeated e-unit steps from the session plan
+    cache.  Every write must reach those entries (patched, dropped, or
+    out-keyed by the new version pins), so each warm answer equals a cold
+    session's over the replayed writes, and a repeat never executes more
+    source operators than the cold run.
+    """
+    example = build_paper_example()
+    with Session(
+        example.database, example.mappings, links=example.links,
+        policy=ExecutionPolicy(engine=engine),
+    ) as session:
+        for steps in range(len(WRITE_SCHEDULE) + 1):
+            if steps:
+                _apply(session.database, WRITE_SCHEDULE[steps - 1])
+            replayed = _replayed_example(steps)
+            with Session(
+                replayed.database, replayed.mappings, links=replayed.links,
+                policy=ExecutionPolicy(engine=engine),
+            ) as cold_session:
+                for build in (replayed.q0, replayed.q2, replayed.q_phone_by_addr):
+                    query = build()
+                    cold = _utrace_query(cold_session, method, query)
+                    warm = _utrace_query(session, method, query)
+                    again = _utrace_query(session, method, query)
+                    label = f"{method}@{engine} after {steps} writes ({query.name})"
+                    for result in (warm, again):
+                        assert _answer_map(result) == _answer_map(cold), label
+                        assert (
+                            result.answers.empty_probability
+                            == cold.answers.empty_probability
+                        ), label
+                    assert (
+                        again.stats.source_operators <= cold.stats.source_operators
+                    ), label
+        assert session.stats.totals.plan_cache_hits > 0
+
+
 def test_delta_patched_session_executes_fewer_operators_than_cold():
     """The point of the machinery: appends keep the session warm.
 

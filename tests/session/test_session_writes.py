@@ -23,6 +23,9 @@ from repro import ExecutionPolicy, Session
 from repro.core import evaluate
 from repro.datagen.paper_example import build_paper_example
 from repro.matching.mappings import Mapping, MappingSet
+from repro.relational.algebra import Project, Scan, Select
+from repro.relational.expressions import col
+from repro.relational.predicates import Equals
 
 
 def _answers(result):
@@ -86,6 +89,16 @@ class TestDeltaCounters:
             assert _answers(s.query(example.q0())) == _answers(cold)
 
     def test_stats_refresh_incrementally_after_appends(self, example):
+        def q0_variant(phone: str):
+            # q0 with another constant: it reads the same Customer columns,
+            # but its reformulated steps are not in the session plan cache —
+            # a repeated q0 would be served from delta-patched entries and
+            # never reach the optimizer's statistics.
+            plan = Project(
+                Select(Scan("Person"), Equals(col("phone"), phone)), [col("addr")]
+            )
+            return example.query(plan, name=f"q0[{phone}]")
+
         with Session(example.database, example.mappings, links=example.links) as s:
             s.query(example.q0())  # optimizer profiles Customer columns
             assert s.stats.stats_refreshed_incrementally == 0
@@ -95,11 +108,13 @@ class TestDeltaCounters:
             example.database.append_rows(
                 "Customer", [_customer(10, "123", "www")]
             )
-            s.query(example.q0())
+            s.query(q0_variant("456"))
             example.database.append_rows(
                 "Customer", [_customer(11, "123", "xxx")]
             )
-            s.query(example.q0())  # optimizer re-reads stats past the write
+            missed = s.stats.totals.plan_cache_misses
+            s.query(q0_variant("789"))  # optimizer re-reads stats past the write
+            assert s.stats.totals.plan_cache_misses > missed
             stats = s.stats
         assert stats.stats_refreshed_incrementally > 0
         assert (
